@@ -1,8 +1,8 @@
 // E11 — the one- and two-segment configurations the paper ran but
 // "intentionally skipped" in its results section, swept together with the
-// three-segment configuration over both package sizes, through the
-// configuration explorer (the early-design-decision loop the paper
-// motivates).
+// three-segment configuration over both package sizes (the
+// early-design-decision question the paper motivates; `segbus_cli search`
+// answers it over placements too).
 #include "bench/common.hpp"
 
 #include "core/energy.hpp"
@@ -10,8 +10,6 @@
 using namespace segbus;
 
 int main() {
-  psdf::PsdfModel app36 = bench::unwrap(apps::mp3_decoder_psdf(36));
-
   bench::banner("E11 — configuration sweep (emulator timing model)");
   std::printf("%-28s %14s %10s %12s %12s %12s\n", "configuration",
               "exec time", "CA TCT", "inter-req", "max mean WP",
@@ -42,19 +40,6 @@ int main() {
       "(energy: activity-based first-order model; conclusions section of "
       "the paper ties configuration choice to power)\n");
 
-  bench::banner("E11 — ranked by the configuration explorer");
-  std::vector<core::Candidate> candidates;
-  for (std::uint32_t segments : {1u, 2u, 3u}) {
-    core::Candidate candidate;
-    candidate.label = str_format("%u segment(s), paper allocation",
-                                 segments);
-    candidate.platform = bench::unwrap(apps::mp3_platform(
-        app36, apps::mp3_allocation(segments), segments, 36));
-    candidates.push_back(std::move(candidate));
-  }
-  core::ExplorationReport report =
-      bench::unwrap(core::explore(app36, std::move(candidates)));
-  std::printf("%s", report.render().c_str());
   std::printf(
       "\n(the paper reports only the three-segment results; the sweep shows "
       "what the skipped configurations looked like)\n");

@@ -1,5 +1,5 @@
 // Content-addressed scheme fingerprints — the cache key of the estimation
-// service and the dedup key of the exploration/batch sweeps.
+// service and the dedup key of guided search.
 //
 // Two (PSDF, PSM, configuration) triples that are byte-different but
 // semantically identical must hash to the same digest: XML attribute

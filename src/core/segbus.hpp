@@ -13,11 +13,8 @@
 
 #include "core/accuracy.hpp"     // IWYU pragma: export
 #include "core/advisor.hpp"     // IWYU pragma: export
-#include "core/analytic.hpp"     // IWYU pragma: export
-#include "core/batch.hpp"        // IWYU pragma: export
 #include "core/diff.hpp"        // IWYU pragma: export
 #include "core/energy.hpp"      // IWYU pragma: export
-#include "core/explore.hpp"      // IWYU pragma: export
 #include "core/json_export.hpp"  // IWYU pragma: export
 #include "core/report.hpp"       // IWYU pragma: export
 #include "core/session.hpp"      // IWYU pragma: export

@@ -74,6 +74,10 @@ class Cursor {
   Location location_;
 };
 
+/// Deepest element nesting accepted. The parser recurses once per level,
+/// so hostile input must not be able to exhaust the stack.
+constexpr int kMaxDepth = 1024;
+
 Status error_at(Location loc, const std::string& message) {
   return parse_error(str_format("line %d, column %d: %s", loc.line,
                                 loc.column, message.c_str()));
@@ -103,7 +107,7 @@ class Parser {
     if (cursor_.eof() || cursor_.peek() != '<') {
       return error_at(cursor_.location(), "expected root element");
     }
-    auto root = parse_element();
+    auto root = parse_element(1);
     if (!root.is_ok()) return root.status();
     SEGBUS_RETURN_IF_ERROR(skip_misc());
     if (!cursor_.eof()) {
@@ -224,8 +228,13 @@ class Parser {
     return std::move(decoded).value();
   }
 
-  Result<std::unique_ptr<Element>> parse_element() {
+  /// `depth` is the element's nesting level; the root is at level 1.
+  Result<std::unique_ptr<Element>> parse_element(int depth) {
     Location start = cursor_.location();
+    if (depth > kMaxDepth) {
+      return error_at(start, str_format("elements nested deeper than %d",
+                                        kMaxDepth));
+    }
     if (!cursor_.consume('<')) {
       return error_at(start, "expected '<'");
     }
@@ -270,12 +279,12 @@ class Parser {
       return element;  // empty element
     }
     cursor_.advance();  // '>'
-    SEGBUS_RETURN_IF_ERROR(parse_content(*element, name, start));
+    SEGBUS_RETURN_IF_ERROR(parse_content(*element, name, start, depth));
     return element;
   }
 
   Status parse_content(Element& element, const std::string& name,
-                       Location start) {
+                       Location start, int depth) {
     std::string pending_text;
     auto flush_text = [&]() -> Status {
       if (pending_text.empty()) return Status::ok();
@@ -350,7 +359,7 @@ class Parser {
       }
       // Child element.
       SEGBUS_RETURN_IF_ERROR(flush_text());
-      auto child = parse_element();
+      auto child = parse_element(depth + 1);
       if (!child.is_ok()) return child.status();
       element.adopt(std::move(child).value());
     }

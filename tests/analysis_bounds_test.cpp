@@ -8,7 +8,6 @@
 #include "apps/jpeg.hpp"
 #include "apps/mp3.hpp"
 #include "apps/synthetic.hpp"
-#include "core/analytic.hpp"
 #include "emu/backend.hpp"
 
 namespace segbus::analysis {

@@ -1,10 +1,9 @@
 // Tests of the core API: sessions, paper-style reporting, accuracy
-// comparison, configuration exploration.
+// comparison.
 #include <gtest/gtest.h>
 
 #include "apps/mp3.hpp"
 #include "core/accuracy.hpp"
-#include "core/explore.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "platform/platform_xml.hpp"
@@ -228,49 +227,6 @@ TEST(Accuracy, ErrorShrinksWithPackageSize) {
   ASSERT_TRUE(report36.is_ok());
   ASSERT_TRUE(report18.is_ok());
   EXPECT_LT(report36->error_percent(), report18->error_percent());
-}
-
-// --- exploration ----------------------------------------------------------------
-
-TEST(Explore, RanksConfigurationsByExecutionTime) {
-  psdf::PsdfModel app = mp3_app();
-  std::vector<Candidate> candidates;
-  candidates.push_back({"one segment", {}});
-  {
-    auto platform = apps::mp3_platform_one_segment(app);
-    ASSERT_TRUE(platform.is_ok());
-    candidates.back().platform = *platform;
-  }
-  candidates.push_back({"three segments", {}});
-  {
-    auto platform = apps::mp3_platform_three_segments(app);
-    ASSERT_TRUE(platform.is_ok());
-    candidates.back().platform = *platform;
-  }
-  auto report = explore(app, std::move(candidates));
-  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
-  ASSERT_EQ(report->entries.size(), 2u);
-  EXPECT_LE(report->entries[0].execution_time,
-            report->entries[1].execution_time);
-  std::string rendered = report->render();
-  EXPECT_NE(rendered.find("one segment"), std::string::npos);
-  EXPECT_NE(rendered.find("three segments"), std::string::npos);
-}
-
-TEST(Explore, CandidateFromPlacementIsValid) {
-  psdf::PsdfModel app = mp3_app();
-  place::AnnealOptions anneal;
-  anneal.iterations = 5000;
-  auto candidate = candidate_from_placement(
-      app, 3, {Frequency::from_mhz(91), Frequency::from_mhz(98),
-               Frequency::from_mhz(89)},
-      Frequency::from_mhz(111), 36, anneal);
-  ASSERT_TRUE(candidate.is_ok()) << candidate.status().to_string();
-  auto session = EmulationSession::from_models(app, candidate->platform);
-  ASSERT_TRUE(session.is_ok());
-  auto result = session->emulate();
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_TRUE(result->completed);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "analysis/bounds.hpp"
 #include "emu/backend.hpp"
-#include "core/analytic.hpp"
 #include "psdf/comm_matrix.hpp"
 #include "psdf/validate.hpp"
 #include "support/rng.hpp"

@@ -1,8 +1,11 @@
 // Robustness corpus for the XML substrate and the model codecs: a
 // parameterized sweep over malformed documents that must all be rejected
 // with a ParseError (never a crash, hang, or silent acceptance), plus
-// stress shapes (deep nesting, long tokens) that must parse.
+// stress shapes (deep nesting, long tokens) that must parse, and nesting
+// past the parser's depth limit, which must be a parse error.
 #include <gtest/gtest.h>
+
+#include <ostream>
 
 #include "platform/platform_xml.hpp"
 #include "psdf/psdf_xml.hpp"
@@ -18,6 +21,11 @@ struct BadDoc {
   const char* name;
   const char* text;
 };
+
+// Names the parameter in test names ("# GetParam() = empty"); without it
+// gtest prints the struct's bytes, i.e. string-literal addresses that
+// change on every build.
+void PrintTo(const BadDoc& doc, std::ostream* os) { *os << doc.name; }
 
 constexpr BadDoc kBadDocs[] = {
     {"empty", ""},
@@ -76,6 +84,10 @@ struct BadScheme {
   const char* name;
   const char* text;
 };
+
+void PrintTo(const BadScheme& scheme, std::ostream* os) {
+  *os << scheme.name;
+}
 
 constexpr BadScheme kBadPsdfSchemes[] = {
     {"wrong_root", "<not_schema/>"},
@@ -187,6 +199,26 @@ TEST(XmlStress, DeepNestingParses) {
   }
   EXPECT_EQ(depth, kDepth);
   EXPECT_EQ(node->text_content(), "x");
+}
+
+std::string nested(int depth) {
+  std::string doc;
+  for (int i = 0; i < depth; ++i) doc += "<a>";
+  for (int i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+// Hostile nesting is answered with a parse error at the first element past
+// the limit, not a stack overflow.
+TEST(XmlStress, NestingIsLimitedTo1024Levels) {
+  EXPECT_TRUE(parse_document(nested(1024)).is_ok());
+  for (int depth : {1025, 200000}) {
+    auto parsed = parse_document(nested(depth));
+    ASSERT_FALSE(parsed.is_ok()) << depth;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(parsed.status().message(),
+              "line 1, column 3073: elements nested deeper than 1024");
+  }
 }
 
 TEST(XmlStress, WideFanoutParses) {

@@ -24,16 +24,6 @@
 //                                       trace-event file under DIR
 //   place    <psdf.xml> --segments N [--strategy greedy|anneal|exhaustive]
 //            [--seed K] [--iterations I] search a device allocation
-//   explore  <psdf.xml> [--segments 1,2,3] [--package S] [--seed K]
-//            [--iterations I] [--candidates N] [--prune] [--json]
-//            [--metrics-out FILE]
-//                                       rank annealed configurations;
-//                                       --candidates anneals N placements
-//                                       per segment count (seeds K..K+N-1),
-//                                       --prune skips engine runs whose v2
-//                                       static lower bound already exceeds
-//                                       the incumbent (identical best;
-//                                       see docs/ANALYSIS.md)
 //   analyze  <psdf.xml> <psm.xml> [--package S] closed-form bounds &
 //            per-stage breakdown without emulating
 //   search   <psdf.xml> | --app mp3|jpeg|h263 | --synthetic N
@@ -133,8 +123,8 @@ int fail(const Status& status) {
 int usage() {
   std::fprintf(stderr,
                "usage: segbus_cli "
-               "<validate|check|matrix|generate|emulate|place|explore|"
-               "search|analyze|estimate|serve|submit|stats|fuzz> "
+               "<validate|check|matrix|generate|emulate|place|search|"
+               "analyze|estimate|serve|submit|stats|fuzz> "
                "...\n       segbus_cli --version\n"
                "(see the header comment of tools/segbus_cli.cpp)\n");
   return 1;
@@ -370,71 +360,6 @@ int cmd_place(const CommandLine& cli) {
   return 0;
 }
 
-int cmd_explore(const CommandLine& cli) {
-  if (cli.positional().size() < 2) return usage();
-  auto app = psdf::read_psdf_file(cli.positional()[1]);
-  if (!app.is_ok()) return fail(app.status());
-  place::AnnealOptions anneal;
-  anneal.seed = static_cast<std::uint64_t>(cli.int_flag_or("seed", 1));
-  anneal.iterations =
-      static_cast<std::uint64_t>(cli.int_flag_or("iterations", 50000));
-  const auto package = static_cast<std::uint32_t>(
-      cli.int_flag_or("package", app->package_size()));
-
-  // --candidates N runs the annealer N times per segment count with
-  // distinct seeds, widening the sweep so the prune oracle has real
-  // losers to cut.
-  const auto per_segment = static_cast<std::uint64_t>(
-      cli.int_flag_or("candidates", 1));
-  if (per_segment == 0) {
-    return fail(invalid_argument_error("--candidates must be positive"));
-  }
-  std::vector<core::Candidate> candidates;
-  const std::string segments_list = cli.flag_or("segments", "1,2,3");
-  for (std::string_view part : split_skip_empty(segments_list, ',')) {
-    auto segments = parse_uint(trim(part));
-    if (!segments || *segments == 0) {
-      return fail(invalid_argument_error("bad --segments list"));
-    }
-    for (std::uint64_t trial = 0; trial < per_segment; ++trial) {
-      place::AnnealOptions trial_anneal = anneal;
-      trial_anneal.seed = anneal.seed + trial;
-      auto candidate = core::candidate_from_placement(
-          *app, static_cast<std::uint32_t>(*segments),
-          {Frequency::from_mhz(91), Frequency::from_mhz(98),
-           Frequency::from_mhz(89)},
-          Frequency::from_mhz(111), package, trial_anneal);
-      if (!candidate.is_ok()) return fail(candidate.status());
-      if (per_segment > 1) {
-        candidate->label += str_format(" seed=%llu",
-                                       static_cast<unsigned long long>(
-                                           trial_anneal.seed));
-      }
-      candidates.push_back(std::move(*candidate));
-    }
-  }
-  core::ExploreOptions options;
-  options.prune = cli.bool_flag_or("prune", false);
-  obs::MetricsRegistry metrics;
-  const std::string metrics_out = cli.flag_or("metrics-out", "");
-  if (!metrics_out.empty()) options.metrics = &metrics;
-  auto report = core::explore(*app, std::move(candidates), options);
-  if (!report.is_ok()) return fail(report.status());
-  if (cli.bool_flag_or("json", false)) {
-    std::printf("%s\n",
-                core::exploration_to_json(*report).to_string(true).c_str());
-  } else {
-    std::printf("%s", report->render().c_str());
-  }
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out, std::ios::binary);
-    out << obs::to_prometheus(metrics);
-    if (!out) return fail(internal_error("cannot write " + metrics_out));
-    std::fprintf(stderr, "metrics written to %s\n", metrics_out.c_str());
-  }
-  return 0;
-}
-
 int cmd_analyze(const CommandLine& cli) {
   if (cli.positional().size() < 3) return usage();
   const auto package =
@@ -454,13 +379,9 @@ int cmd_analyze(const CommandLine& cli) {
                                       : emu::TimingModel::emulator();
   auto bounds = analysis::compute_static_bounds(*app, *platform, timing);
   if (!bounds.is_ok()) return fail(bounds.status());
-  auto estimate = core::analytic_estimate(*app, *platform, timing);
-  if (!estimate.is_ok()) return fail(estimate.status());
   std::printf("analytic lower bound: %s  (v1: %s)\n",
               format_us(bounds->lower).c_str(),
               format_us(bounds->lower_v1).c_str());
-  std::printf("analytic estimate   : %s\n",
-              format_us(estimate->total).c_str());
   std::printf("serialization upper : %s  (v1: %s)\n",
               format_us(bounds->upper).c_str(),
               format_us(bounds->upper_v1).c_str());
@@ -490,7 +411,6 @@ int main(int argc, char** argv) {
   if (command == "generate") return cmd_generate(*cli);
   if (command == "emulate") return cmd_emulate(*cli);
   if (command == "place") return cmd_place(*cli);
-  if (command == "explore") return cmd_explore(*cli);
   if (command == "search") return tools::run_search_cmd(*cli);
   if (command == "analyze") return cmd_analyze(*cli);
   if (command == "estimate") return tools::run_estimate_cmd(*cli);
