@@ -24,7 +24,7 @@
 //
 // Strategy "exhaustive" enumerates every feasible (segment-populating)
 // allocation through the same evaluator; it is the oracle the guided
-// strategy is tested against and the baseline BENCH_search.json reports.
+// strategy is tested against.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // Blocking NDJSON client for the estimation service. One connection, one
 // outstanding request at a time (the protocol answers in order, so callers
-// wanting pipelining open one Client per worker thread — see
-// bench/bench_service.cpp).
+// wanting pipelining open one Client per worker thread).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "stoch/estimator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <unordered_map>
@@ -135,6 +136,12 @@ class ReplicationRunner {
     return server_ != nullptr && options_.mode_table == nullptr;
   }
 
+  /// Jobs that may be outstanding at once: one queue depth's worth, so a
+  /// round larger than the queue never meets backpressure.
+  std::size_t max_in_flight() const noexcept {
+    return std::max<std::size_t>(1, server_->config().queue_depth);
+  }
+
  private:
   const platform::PlatformModel& platform_;
   const EstimatorOptions& options_;
@@ -221,6 +228,23 @@ Result<Estimate> estimate_with(const psdf::PsdfModel& application,
     };
     std::vector<PendingJob> pending;
     std::vector<std::pair<std::size_t, std::size_t>> duplicates;
+    // Collects the outstanding jobs in submission order.
+    const auto collect = [&]() -> Status {
+      for (PendingJob& job : pending) {
+        service::JobResponse response = job.future.get();
+        if (!response.ok) {
+          return internal_error(str_format(
+              "replication %llu failed: %s: %s",
+              static_cast<unsigned long long>(
+                  estimate.replications[job.replication].index),
+              response.error_code.c_str(), response.error_message.c_str()));
+        }
+        estimate.replications[job.replication].execution_time =
+            response.execution_time;
+      }
+      pending.clear();
+      return Status::ok();
+    };
     for (std::uint32_t k = next; k < round_end; ++k) {
       SEGBUS_ASSIGN_OR_RETURN(
           psdf::PsdfModel realized,
@@ -239,6 +263,9 @@ Result<Estimate> estimate_with(const psdf::PsdfModel& application,
       replication.digest = digest;
       const std::string tag = str_format("estimate-rep-%u", k);
       if (runner.uses_server()) {
+        if (pending.size() == runner.max_in_flight()) {
+          SEGBUS_RETURN_IF_ERROR(collect());
+        }
         SEGBUS_ASSIGN_OR_RETURN(std::future<service::JobResponse> future,
                                 runner.submit(realized, tag));
         pending.push_back({slot, std::move(future)});
@@ -249,19 +276,7 @@ Result<Estimate> estimate_with(const psdf::PsdfModel& application,
         estimate.replications.push_back(std::move(replication));
       }
     }
-    // Collect the round's jobs in submission order.
-    for (PendingJob& job : pending) {
-      service::JobResponse response = job.future.get();
-      if (!response.ok) {
-        return internal_error(str_format(
-            "replication %llu failed: %s: %s",
-            static_cast<unsigned long long>(
-                estimate.replications[job.replication].index),
-            response.error_code.c_str(), response.error_message.c_str()));
-      }
-      estimate.replications[job.replication].execution_time =
-          response.execution_time;
-    }
+    SEGBUS_RETURN_IF_ERROR(collect());
     // Resolve intra-round duplicates now that every original ran.
     for (const auto& [slot, first] : duplicates) {
       estimate.replications[slot].digest = estimate.replications[first].digest;

@@ -97,7 +97,9 @@ struct Estimate {
 };
 
 /// Runs the replicated estimation through `server` (static specs) or
-/// inline (multi-mode specs). Thread-compatible: one estimator per run.
+/// inline (multi-mode specs). At most one queue depth of jobs is in flight,
+/// so a round larger than the server's queue does not meet backpressure.
+/// Thread-compatible: one estimator per run.
 class Estimator {
  public:
   explicit Estimator(service::JobServer& server) : server_(&server) {}

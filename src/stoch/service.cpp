@@ -66,9 +66,7 @@ Result<service::JobResponse> run_estimate_request(
   // pool (see the header comment for why not the serving pool itself).
   service::ServerConfig inner_config;
   inner_config.workers = std::max(1u, server.config().workers);
-  inner_config.queue_depth =
-      std::max<std::size_t>(server.config().queue_depth,
-                            options.max_replications);
+  inner_config.queue_depth = server.config().queue_depth;
   inner_config.max_ticks = server.config().max_ticks;
   inner_config.default_backend = server.config().default_backend;
   service::JobServer inner(inner_config);

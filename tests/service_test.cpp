@@ -563,6 +563,40 @@ TEST_F(SocketServerTest, PingStatsAndParseErrorsOverTheWire) {
   EXPECT_EQ(parsed->error_code, "parse");
 }
 
+TEST_F(SocketServerTest, DeeplyNestedSchemeIsAParseErrorOverTheWire) {
+  auto server = service::SocketServer::start(make_config(1),
+                                             unix_listen(socket_path_));
+  ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+  auto client = service::Client::connect_unix(socket_path_);
+  ASSERT_TRUE(client.is_ok());
+
+  const SchemeXml scheme = mp3_scheme(2);
+  SchemeXml deep = scheme;
+  deep.psdf.clear();
+  constexpr int kLevels = 200'000;
+  for (int i = 0; i < kLevels; ++i) deep.psdf += "<a>";
+  for (int i = 0; i < kLevels; ++i) deep.psdf += "</a>";
+  auto rejected = client->call(submit_request(deep, "deep"));
+  ASSERT_TRUE(rejected.is_ok()) << rejected.status().to_string();
+  EXPECT_FALSE(rejected->ok);
+  EXPECT_EQ(rejected->error_code, "parse");
+  EXPECT_NE(rejected->error_message.find("nested deeper than 1024"),
+            std::string::npos)
+      << rejected->error_message;
+
+  // The server survives and keeps serving on the same connection.
+  service::JobRequest ping;
+  ping.id = "p";
+  ping.kind = "ping";
+  auto pong = client->call(ping);
+  ASSERT_TRUE(pong.is_ok());
+  EXPECT_TRUE(pong->ok);
+  auto submitted = client->call(submit_request(scheme, "mp3"));
+  ASSERT_TRUE(submitted.is_ok());
+  ASSERT_TRUE(submitted->ok) << submitted->error_message;
+  EXPECT_EQ(submitted->report_json, direct_report(2));
+}
+
 TEST_F(SocketServerTest, TcpLoopbackWhenPermitted) {
   service::ListenConfig listen;
   listen.tcp = true;

@@ -251,6 +251,37 @@ TEST(Estimator, ReportsAreByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(inline_estimate->to_json().to_string(), expected);
 }
 
+TEST(Estimator, RoundLargerThanTheQueueDepthCompletes) {
+  auto app = apps::mp3_decoder_psdf();
+  ASSERT_TRUE(app.is_ok());
+  auto platform = apps::mp3_platform_three_segments(*app);
+  ASSERT_TRUE(platform.is_ok());
+
+  // One round of 32 replications against a depth-16 queue with a single
+  // worker on the slow engine: submitting the whole round at once would
+  // overflow the queue and fail with backpressure.
+  stoch::EstimatorOptions options = stochastic_options();
+  options.min_replications = 32;
+  options.max_replications = 32;
+  options.engine = "reference";
+  service::ServerConfig config;
+  config.workers = 1;
+  config.queue_depth = 16;
+  service::JobServer server(config);
+  stoch::Estimator estimator(server);
+  auto estimate = estimator.run(*app, *platform, options);
+  ASSERT_TRUE(estimate.is_ok()) << estimate.status().to_string();
+  EXPECT_EQ(estimate->replications.size(), 32u);
+  EXPECT_GT(estimate->unique_runs, 16u);
+  // Same report as the unbounded inline path (on its default, fast engine;
+  // reports are byte-identical across backends).
+  options.engine.clear();
+  auto inline_estimate = stoch::estimate_inline(*app, *platform, options);
+  ASSERT_TRUE(inline_estimate.is_ok());
+  EXPECT_EQ(estimate->to_json().to_string(),
+            inline_estimate->to_json().to_string());
+}
+
 TEST(Estimator, ReportsAreByteIdenticalAcrossBackends) {
   auto app = apps::mp3_decoder_psdf();
   ASSERT_TRUE(app.is_ok());

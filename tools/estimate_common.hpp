@@ -243,7 +243,6 @@ inline int run_estimate_cmd(const CommandLine& cli) {
   service::ServerConfig pool_config;
   pool_config.workers =
       static_cast<unsigned>(cli.int_flag_or("workers", 4));
-  pool_config.queue_depth = std::max<std::size_t>(16, max_replications);
   service::JobServer pool(pool_config);
   stoch::Estimator estimator(pool);
   auto estimate =
