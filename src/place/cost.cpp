@@ -43,14 +43,22 @@ std::uint64_t package_hops(const psdf::CommMatrix& matrix,
   return total;
 }
 
-bool allocation_feasible(const Allocation& allocation,
-                         std::uint32_t num_segments,
-                         std::uint32_t max_fus_per_segment) {
-  std::vector<std::uint32_t> load(num_segments, 0);
+namespace {
+
+/// Counts processes per segment; false when a segment index is out of
+/// range.
+bool count_loads(const Allocation& allocation, std::uint32_t num_segments,
+                 std::vector<std::uint32_t>& load) {
+  load.assign(num_segments, 0);
   for (std::uint32_t segment : allocation) {
     if (segment >= num_segments) return false;
     ++load[segment];
   }
+  return true;
+}
+
+bool loads_feasible(std::span<const std::uint32_t> load,
+                    std::uint32_t max_fus_per_segment) {
   for (std::uint32_t count : load) {
     if (count == 0) return false;  // psm.segment.fus would fail
     if (max_fus_per_segment != 0 && count > max_fus_per_segment) return false;
@@ -58,28 +66,62 @@ bool allocation_feasible(const Allocation& allocation,
   return true;
 }
 
-double allocation_cost(const psdf::CommMatrix& matrix,
-                       const Allocation& allocation,
-                       std::uint32_t num_segments, const CostModel& model) {
-  if (!allocation_feasible(allocation, num_segments,
-                           model.max_fus_per_segment)) {
+}  // namespace
+
+bool allocation_feasible(const Allocation& allocation,
+                         std::uint32_t num_segments,
+                         std::uint32_t max_fus_per_segment) {
+  std::vector<std::uint32_t> load;
+  return count_loads(allocation, num_segments, load) &&
+         loads_feasible(load, max_fus_per_segment);
+}
+
+double cost_from_terms(std::uint64_t package_hops,
+                       std::span<const std::uint32_t> load,
+                       std::size_t processes, const CostModel& model) {
+  if (!loads_feasible(load, model.max_fus_per_segment)) {
     return std::numeric_limits<double>::infinity();
   }
-  double cost =
-      model.hop_weight *
-      static_cast<double>(package_hops(matrix, allocation,
-                                       model.package_size));
+  double cost = model.hop_weight * static_cast<double>(package_hops);
   if (model.imbalance_weight > 0.0) {
-    std::vector<std::uint32_t> load(num_segments, 0);
-    for (std::uint32_t segment : allocation) ++load[segment];
-    const double ideal = static_cast<double>(allocation.size()) /
-                         static_cast<double>(num_segments);
+    const double ideal = static_cast<double>(processes) /
+                         static_cast<double>(load.size());
     const double max_load =
         static_cast<double>(*std::max_element(load.begin(), load.end()));
     const double excess = max_load - ideal;
     cost += model.imbalance_weight * excess * excess;
   }
   return cost;
+}
+
+double allocation_cost(const psdf::CommMatrix& matrix,
+                       const Allocation& allocation,
+                       std::uint32_t num_segments, const CostModel& model) {
+  std::vector<std::uint32_t> load;
+  if (!count_loads(allocation, num_segments, load) ||
+      !loads_feasible(load, model.max_fus_per_segment)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return cost_from_terms(package_hops(matrix, allocation, model.package_size),
+                         load, allocation.size(), model);
+}
+
+PartnerList::PartnerList(const psdf::CommMatrix& matrix,
+                         std::uint32_t package_size) {
+  const std::size_t n = matrix.size();
+  offsets_.reserve(n + 1);
+  offsets_.push_back(0);
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (q == p) continue;  // a self-flow never crosses a border
+      const std::uint64_t packages = matrix.packages_at(p, q, package_size) +
+                                     matrix.packages_at(q, p, package_size);
+      if (packages != 0) {
+        partners_.push_back({static_cast<std::uint32_t>(q), packages});
+      }
+    }
+    offsets_.push_back(partners_.size());
+  }
 }
 
 Status validate_allocation(const psdf::CommMatrix& matrix,

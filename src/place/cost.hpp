@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "psdf/comm_matrix.hpp"
@@ -35,6 +36,38 @@ struct CostModel {
 double allocation_cost(const psdf::CommMatrix& matrix,
                        const Allocation& allocation,
                        std::uint32_t num_segments, const CostModel& model);
+
+/// The same cost from its integer terms: the package-hop total and the
+/// processes per segment (`load`, one entry per segment, summing to
+/// `processes`). allocation_cost is this over a full recount, so a search
+/// that keeps the terms as running state gets bit-identical costs.
+double cost_from_terms(std::uint64_t package_hops,
+                       std::span<const std::uint32_t> load,
+                       std::size_t processes, const CostModel& model);
+
+/// Symmetric traffic adjacency at one package size: for each process,
+/// every other process it exchanges packages with, and the packages in
+/// both directions summed. Moving one process changes the package-hop
+/// total only through its partners, so a move prices in O(degree).
+class PartnerList {
+ public:
+  struct Partner {
+    std::uint32_t process = 0;
+    std::uint64_t packages = 0;  ///< both directions
+  };
+
+  PartnerList(const psdf::CommMatrix& matrix, std::uint32_t package_size);
+
+  /// Partners of `process`, ascending by id.
+  std::span<const Partner> of(std::size_t process) const {
+    return {partners_.data() + offsets_[process],
+            partners_.data() + offsets_[process + 1]};
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  ///< CSR row starts, size n + 1
+  std::vector<Partner> partners_;
+};
 
 /// Total packages crossing at least one border under `allocation`.
 std::uint64_t inter_segment_packages(const psdf::CommMatrix& matrix,

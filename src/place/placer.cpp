@@ -196,6 +196,33 @@ Result<PlacementResult> anneal_place(const psdf::CommMatrix& matrix,
   double best_cost = current_cost;
   std::uint64_t evaluations = seed_result.evaluations;
 
+  // Running cost terms of `current`; a candidate is priced from the
+  // change its move makes to them, never from a full recount.
+  const PartnerList partners(matrix, cost.package_size);
+  std::uint64_t hops = package_hops(matrix, current, cost.package_size);
+  std::vector<std::uint32_t> load(num_segments, 0);
+  for (std::uint32_t segment : current) ++load[segment];
+  std::vector<std::uint32_t> candidate_load;
+
+  // Package-hop change of moving `p` to `to`, with process `moved` seen
+  // at `moved_to`: a swap's second move sees its first (`moved` == n
+  // for none).
+  auto move_delta = [&](std::size_t p, std::uint32_t to, std::size_t moved,
+                        std::uint32_t moved_to) {
+    const std::uint32_t from = current[p];
+    std::int64_t delta = 0;
+    for (const PartnerList::Partner& partner : partners.of(p)) {
+      const std::uint32_t at =
+          partner.process == moved ? moved_to : current[partner.process];
+      const auto before = static_cast<std::int64_t>(from > at ? from - at
+                                                              : at - from);
+      const auto after =
+          static_cast<std::int64_t>(to > at ? to - at : at - to);
+      delta += static_cast<std::int64_t>(partner.packages) * (after - before);
+    }
+    return delta;
+  };
+
   double temperature = options.initial_temperature;
   if (temperature <= 0.0) {
     temperature = std::max(
@@ -205,22 +232,31 @@ Result<PlacementResult> anneal_place(const psdf::CommMatrix& matrix,
   }
 
   for (std::uint64_t step = 0; step < options.iterations; ++step) {
-    Allocation candidate = current;
+    std::size_t a = 0;
+    std::size_t b = 0;  // == a for a single move
+    std::uint32_t to = 0;
+    std::uint64_t candidate_hops = hops;
+    double c = 0.0;
     if (rng.next_bool(0.5) && n >= 2) {
-      // Swap two processes on different segments.
-      auto a = static_cast<std::size_t>(rng.next_below(n));
-      auto b = static_cast<std::size_t>(rng.next_below(n));
-      if (candidate[a] == candidate[b]) continue;
-      std::swap(candidate[a], candidate[b]);
+      // Swap two processes on different segments: loads are unchanged.
+      a = static_cast<std::size_t>(rng.next_below(n));
+      b = static_cast<std::size_t>(rng.next_below(n));
+      if (current[a] == current[b]) continue;
+      to = current[b];
+      candidate_hops += static_cast<std::uint64_t>(
+          move_delta(a, to, n, 0) + move_delta(b, current[a], a, to));
+      c = cost_from_terms(candidate_hops, load, n, cost);
     } else {
       // Move one process to another segment.
-      auto p = static_cast<std::size_t>(rng.next_below(n));
-      auto segment = static_cast<std::uint32_t>(
-          rng.next_below(num_segments));
-      if (candidate[p] == segment) continue;
-      candidate[p] = segment;
+      a = b = static_cast<std::size_t>(rng.next_below(n));
+      to = static_cast<std::uint32_t>(rng.next_below(num_segments));
+      if (current[a] == to) continue;
+      candidate_hops += static_cast<std::uint64_t>(move_delta(a, to, n, 0));
+      candidate_load = load;
+      --candidate_load[current[a]];
+      ++candidate_load[to];
+      c = cost_from_terms(candidate_hops, candidate_load, n, cost);
     }
-    double c = allocation_cost(matrix, candidate, num_segments, cost);
     ++evaluations;
     bool accept = false;
     if (c <= current_cost) {
@@ -229,7 +265,13 @@ Result<PlacementResult> anneal_place(const psdf::CommMatrix& matrix,
       accept = rng.next_bool(std::exp((current_cost - c) / temperature));
     }
     if (accept) {
-      current = std::move(candidate);
+      if (a == b) {
+        load.swap(candidate_load);
+      } else {
+        current[b] = current[a];
+      }
+      current[a] = to;
+      hops = candidate_hops;
       current_cost = c;
       if (c < best_cost) {
         best = current;

@@ -7,7 +7,12 @@
 //                  applied); practical to ~12 processes x 3 segments.
 //   * greedy     : traffic-descending constructive heuristic.
 //   * annealing  : simulated annealing over move/swap neighborhoods,
-//                  deterministic for a fixed seed.
+//                  deterministic for a fixed seed. The package-hop total
+//                  and the per-segment loads are running state, so a move
+//                  is priced in O(degree) from a PartnerList and a swap as
+//                  two moves; the cost comes from cost_from_terms, the
+//                  formula allocation_cost uses, so results are the same
+//                  bits as re-pricing the whole matrix every step.
 #pragma once
 
 #include <cstdint>

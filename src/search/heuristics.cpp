@@ -9,33 +9,6 @@
 
 namespace segbus::search {
 
-namespace {
-
-/// Traffic x hop-distance the prefix already commits to: every decided
-/// pair pays its package count times the segment distance. Lower is
-/// better; the final score is place-cost-correlated but much cheaper.
-std::uint64_t partial_score(const psdf::CommMatrix& matrix,
-                            const std::vector<std::uint32_t>& order,
-                            const place::Allocation& partial,
-                            std::size_t depth, std::uint32_t package_size) {
-  std::uint64_t score = 0;
-  for (std::size_t a = 0; a < depth; ++a) {
-    for (std::size_t b = 0; b < depth; ++b) {
-      const std::uint32_t pa = order[a];
-      const std::uint32_t pb = order[b];
-      const std::uint64_t packages =
-          matrix.packages_at(pa, pb, package_size);
-      if (packages == 0) continue;
-      const std::uint32_t da = partial[pa];
-      const std::uint32_t db = partial[pb];
-      score += packages * (da > db ? da - db : db - da);
-    }
-  }
-  return score;
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> traffic_descending_order(
     const psdf::CommMatrix& matrix) {
   std::vector<std::uint32_t> order(matrix.size());
@@ -69,10 +42,18 @@ Result<std::vector<place::Allocation>> beam_allocations(
   if (beam_width == 0) beam_width = 1;
 
   const std::vector<std::uint32_t> order = traffic_descending_order(matrix);
+  // rank[p] = depth at which p is placed; partners with a lower rank are
+  // the placed prefix a new process pays against.
+  std::vector<std::size_t> rank(n);
+  for (std::size_t depth = 0; depth < n; ++depth) rank[order[depth]] = depth;
+  const place::PartnerList partners(matrix, package_size);
 
   struct Partial {
     place::Allocation allocation;       ///< process-id indexed
     std::vector<std::uint32_t> counts;  ///< processes per segment
+    /// Traffic x hop-distance the prefix commits to: every placed pair
+    /// pays its packages (both directions) times the segment distance.
+    /// Lower is better; place-cost-correlated but much cheaper.
     std::uint64_t score = 0;
   };
   std::vector<Partial> beam(1);
@@ -94,8 +75,14 @@ Result<std::vector<place::Allocation>> beam_allocations(
         const std::size_t empty = static_cast<std::size_t>(std::count(
             child.counts.begin(), child.counts.end(), 0u));
         if (empty > remaining) continue;
-        child.score = partial_score(matrix, order, child.allocation,
-                                    depth + 1, package_size);
+        // The parent's score plus the new process's terms against the
+        // placed prefix.
+        for (const place::PartnerList::Partner& partner :
+             partners.of(process)) {
+          if (rank[partner.process] >= depth) continue;
+          const std::uint32_t at = parent.allocation[partner.process];
+          child.score += partner.packages * (seg > at ? seg - at : at - seg);
+        }
         expanded.push_back(std::move(child));
       }
     }

@@ -8,6 +8,8 @@
 //   - beam search : width-B deterministic beam over partial placements in
 //                   traffic-descending process order, scored by the
 //                   traffic x hop-distance the prefix already commits to.
+//                   A child's score is its parent's plus the new process's
+//                   terms against its placed partners: O(degree) per child.
 //
 // A strong incumbent is what makes the branch-and-bound bound bite: every
 // subtree whose admissible lower bound exceeds the best heuristic time is

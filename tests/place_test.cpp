@@ -2,11 +2,15 @@
 // annealing placement, allocation application.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apps/mp3.hpp"
 #include "place/apply.hpp"
 #include "place/cost.hpp"
 #include "place/placer.hpp"
 #include "platform/constraints.hpp"
+#include "support/rng.hpp"
 
 namespace segbus::place {
 namespace {
@@ -185,6 +189,122 @@ TEST(PlaceAnneal, SingleSegmentShortCircuits) {
   auto result = anneal_place(matrix, 1, cost);
   ASSERT_TRUE(result.is_ok());
   EXPECT_DOUBLE_EQ(result->cost, 0.0);
+}
+
+/// One seeded random annealing instance: up to 31 processes on 1-5
+/// segments, a sparse matrix, and every cost-model term switched on at
+/// random (imbalance weight, capacity limit, hop weight other than 1,
+/// custom temperature and cooling).
+struct AnnealInstance {
+  psdf::CommMatrix matrix;
+  std::uint32_t segments = 1;
+  CostModel cost;
+  AnnealOptions options;
+};
+
+AnnealInstance random_anneal_instance(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  AnnealInstance instance;
+  instance.segments = static_cast<std::uint32_t>(rng.next_in(1, 5));
+  const auto n = static_cast<std::size_t>(
+      rng.next_in(static_cast<std::int64_t>(instance.segments), 31));
+  instance.matrix = psdf::CommMatrix(n);
+  const double density = 0.05 + 0.5 * rng.next_double();
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t t = 0; t < n; ++t) {
+      if (rng.next_bool(density)) {
+        instance.matrix.set(s, t, rng.next_below(5000));
+      }
+    }
+  }
+  instance.cost.package_size =
+      static_cast<std::uint32_t>(rng.next_in(1, 64));
+  instance.cost.hop_weight = 0.25 + 3.0 * rng.next_double();
+  if (rng.next_bool(0.6)) {
+    instance.cost.imbalance_weight = 50.0 * rng.next_double();
+  }
+  if (rng.next_bool(0.4)) {
+    // Tight but satisfiable: room for every process plus some slack.
+    const std::size_t tight = (n + instance.segments - 1) / instance.segments;
+    instance.cost.max_fus_per_segment =
+        static_cast<std::uint32_t>(tight + rng.next_below(3));
+  }
+  instance.options.seed = rng.next();
+  instance.options.iterations = 500 + rng.next_below(1500);
+  if (rng.next_bool(0.5)) {
+    instance.options.initial_temperature = 1.0 + 100.0 * rng.next_double();
+  }
+  if (rng.next_bool(0.5)) {
+    instance.options.cooling = 0.99 + 0.0099 * rng.next_double();
+  }
+  return instance;
+}
+
+/// FNV-1a over (allocation, cost bits, evaluations) of one result.
+std::uint64_t fold_result(std::uint64_t hash, const PlacementResult& result) {
+  auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFFu;
+      hash *= 0x100000001B3ull;
+    }
+  };
+  mix(result.allocation.size());
+  for (std::uint32_t segment : result.allocation) mix(segment);
+  mix(std::bit_cast<std::uint64_t>(result.cost));
+  mix(result.evaluations);
+  return hash;
+}
+
+TEST(PlaceAnneal, ReportedCostIsTheFullRecomputeOnRandomInstances) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    const AnnealInstance instance =
+        random_anneal_instance(derive_seed(2024, k));
+    auto result = anneal_place(instance.matrix, instance.segments,
+                               instance.cost, instance.options);
+    ASSERT_TRUE(result.is_ok()) << "instance " << k << ": "
+                                << result.status().to_string();
+    // Exact equality: the running total must reproduce the one formula.
+    EXPECT_EQ(result->cost,
+              allocation_cost(instance.matrix, result->allocation,
+                              instance.segments, instance.cost))
+        << "instance " << k;
+    hash = fold_result(hash, *result);
+  }
+  // Every allocation, cost bit pattern and evaluation count of the sweep,
+  // pinned: the annealer's accept/reject sequence may not drift.
+  EXPECT_EQ(hash, 0x13FF6A2D26426828ull);
+}
+
+TEST(PlaceAnneal, PinnedResultsOnMp3) {
+  const psdf::CommMatrix matrix =
+      psdf::CommMatrix::from_model(*apps::mp3_decoder_psdf());
+  struct Pin {
+    std::uint32_t segments;
+    std::uint64_t seed;
+    double imbalance_weight;
+    Allocation allocation;
+    double cost;
+    std::uint64_t evaluations;
+  };
+  const Pin pins[] = {
+      {2, 1, 0.0, {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1}, 2.0, 8601},
+      {3, 7, 0.0, {1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1}, 4.0, 11081},
+      {3, 99, 2.5, {1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 2, 1, 0, 0, 0}, 44.0, 12813},
+      {4, 5, 0.0, {2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 1, 3, 3, 3, 2}, 38.0, 13220},
+  };
+  for (const Pin& pin : pins) {
+    CostModel cost;
+    cost.imbalance_weight = pin.imbalance_weight;
+    AnnealOptions options;
+    options.seed = pin.seed;
+    options.iterations = 20000;
+    auto result = anneal_place(matrix, pin.segments, cost, options);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(result->allocation, pin.allocation) << "seed " << pin.seed;
+    EXPECT_EQ(result->cost, pin.cost) << "seed " << pin.seed;
+    EXPECT_EQ(result->evaluations, pin.evaluations) << "seed " << pin.seed;
+  }
 }
 
 // --- rendering & application -------------------------------------------------------

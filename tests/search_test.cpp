@@ -20,6 +20,7 @@
 #include "platform/model.hpp"
 #include "psdf/psdf_xml.hpp"
 #include "search/bound.hpp"
+#include "search/heuristics.hpp"
 #include "search/service.hpp"
 #include "service/server.hpp"
 #include "support/json.hpp"
@@ -336,6 +337,116 @@ TEST(Search, MetricsCountersMatchTheReport) {
                    {{"outcome", "emulated"}})
           .value();
   EXPECT_EQ(emulated, report->emulated);
+}
+
+// Pinned guided-search results on MP3: every count and winner below is
+// what the heuristics, the bound and the evaluator produce together, so a
+// change to any of them that alters a single decision shows up here.
+TEST(Search, PinnedMp3GuidedReport) {
+  auto app = apps::mp3_decoder_psdf();
+  ASSERT_TRUE(app.is_ok());
+  search::SearchSpec spec;
+  spec.segment_counts = {2, 3};
+  spec.package_sizes = {36, 18};
+  spec.seed = 1;
+  spec.strategy = search::Strategy::kGuided;
+  spec.engine = "fast";
+  spec.workers = 2;
+  auto report = search::run_search(*app, spec);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+
+  struct Pin {
+    std::uint32_t segments;
+    std::uint32_t package_size;
+    std::uint64_t nodes_expanded;
+    std::uint64_t emulated;
+    std::uint64_t deduplicated;
+    std::uint64_t bound_pruned;
+    std::int64_t best_ps;
+    const char* best_digest;
+  };
+  const Pin pins[] = {
+      {2, 36, 19, 9, 3, 16, 429630201,
+       "0af8a5859d04039f561d330524efa973964cd0c4df5e96c337932ab77c620090"},
+      {2, 18, 24, 9, 3, 21, 434314881,
+       "26cc1e754d6be326c84c28a190c20f60d56fa60bfed41494d98bb68a16701bdf"},
+      {3, 36, 25, 10, 2, 42, 430675245,
+       "c29865540aa8b9acb908894202ddce739569bc527a8363a74a0e58cea0f7bd25"},
+      {3, 18, 41, 9, 2, 72, 435107673,
+       "287323d00789d8bf6ba531cb5738e5591378d8b6a7907fcb1486b371e38fab18"},
+  };
+  ASSERT_EQ(report->combos.size(), std::size(pins));
+  for (std::size_t i = 0; i < std::size(pins); ++i) {
+    const search::ComboReport& combo = report->combos[i];
+    const Pin& pin = pins[i];
+    SCOPED_TRACE("s" + std::to_string(pin.segments) + "/p" +
+                 std::to_string(pin.package_size));
+    EXPECT_EQ(combo.segments, pin.segments);
+    EXPECT_EQ(combo.package_size, pin.package_size);
+    EXPECT_EQ(combo.nodes_expanded, pin.nodes_expanded);
+    EXPECT_EQ(combo.emulated, pin.emulated);
+    EXPECT_EQ(combo.deduplicated, pin.deduplicated);
+    EXPECT_EQ(combo.bound_pruned, pin.bound_pruned);
+    EXPECT_TRUE(combo.proven_optimal);
+    ASSERT_TRUE(combo.has_best);
+    EXPECT_EQ(combo.best.objectives.execution_time.count(), pin.best_ps);
+    EXPECT_EQ(combo.best.digest, pin.best_digest);
+  }
+  EXPECT_EQ(report->nodes_expanded, 109u);
+  EXPECT_EQ(report->emulated, 37u);
+  EXPECT_EQ(report->deduplicated, 10u);
+  EXPECT_TRUE(report->proven_optimal);
+  ASSERT_TRUE(report->has_winner);
+  EXPECT_EQ(report->winner.objectives.execution_time.count(), 429630201);
+  EXPECT_EQ(report->winner.digest,
+            "0af8a5859d04039f561d330524efa973964cd0c4df5e96c337932ab77c620090");
+}
+
+// --- heuristics -------------------------------------------------------------
+
+std::string render_allocations(const std::vector<place::Allocation>& all) {
+  std::string out;
+  for (const place::Allocation& allocation : all) {
+    for (std::uint32_t segment : allocation) out += std::to_string(segment);
+    out += ';';
+  }
+  return out;
+}
+
+TEST(Heuristics, PinnedBeamOnMp3) {
+  const psdf::CommMatrix matrix =
+      psdf::CommMatrix::from_model(*apps::mp3_decoder_psdf());
+  auto s2 = search::beam_allocations(matrix, 2, 36, 8);
+  ASSERT_TRUE(s2.is_ok()) << s2.status().to_string();
+  EXPECT_EQ(render_allocations(*s2),
+            "000000000010000;000010000000000;111101111111111;111111111101111;"
+            "000010000010000;111101111101111;000000000100000;001000000000000;");
+  auto s3 = search::beam_allocations(matrix, 3, 18, 8);
+  ASSERT_TRUE(s3.is_ok()) << s3.status().to_string();
+  EXPECT_EQ(render_allocations(*s3),
+            "111101111121111;111121111101111;000010000020000;000020000010000;"
+            "111111111021111;111111111201111;000000000120000;000010000120000;");
+}
+
+TEST(Heuristics, PinnedBeamOnASyntheticWorkload) {
+  apps::RandomWorkloadOptions options;
+  options.seed = 7;
+  options.min_width = options.max_width = 5;
+  options.min_layers = options.max_layers = 8;  // 40 processes
+  auto app = apps::synthetic_random(options);
+  ASSERT_TRUE(app.is_ok()) << app.status().to_string();
+  const psdf::CommMatrix matrix = psdf::CommMatrix::from_model(*app);
+  auto beam = search::beam_allocations(matrix, 3, 36, 8);
+  ASSERT_TRUE(beam.is_ok()) << beam.status().to_string();
+  EXPECT_EQ(render_allocations(*beam),
+            "0001000000000000000000000000000000020000;"
+            "0001010000010000000000000000000000020000;"
+            "0002000000000000000000000000000000010000;"
+            "0000010000010000000000000000000000020000;"
+            "0002010000010000000000000000000000000000;"
+            "0002010000010000000000000000000000010000;"
+            "0002010000010000000000000000000000020000;"
+            "0000000000000000000000000000001000020100;");
 }
 
 // --- service request kind ---------------------------------------------------

@@ -9,6 +9,11 @@
 //           [--max-ticks N] [--json] [--metrics-out FILE]
 //           [--socket PATH | --tcp-port N]
 //
+// Numeric flags are range-checked before anything runs: a malformed,
+// negative or out-of-range value (`--iterations -5`, `--iterations 2O00`,
+// `--workers 0`) exits 1 with a message naming the flag, never a wrapped
+// cast or a silent default.
+//
 // Without --socket/--tcp-port the search runs in-process (its own worker
 // pool); with one of them the request is sent to a running server as a
 // `"search"` wire request (docs/SERVICE.md). The report JSON is
@@ -20,7 +25,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/h263.hpp"
@@ -44,7 +51,8 @@ inline Result<std::vector<std::uint32_t>> parse_u32_list(
   std::vector<std::uint32_t> values;
   for (const std::string_view item : split_skip_empty(text, ',')) {
     const std::optional<std::uint64_t> value = parse_uint(trim(item));
-    if (!value.has_value() || *value == 0) {
+    if (!value.has_value() || *value == 0 ||
+        *value > std::numeric_limits<std::uint32_t>::max()) {
       return invalid_argument_error("invalid --" + std::string(what) +
                                     " entry '" + std::string(item) + "'");
     }
@@ -56,28 +64,85 @@ inline Result<std::vector<std::uint32_t>> parse_u32_list(
   return values;
 }
 
+/// The numeric search flags, each range-checked against what the search
+/// can hold: the width of its field, and for --synthetic, --beam, --wave
+/// and --workers a cap that keeps memory and thread counts bounded.
+struct SearchFlags {
+  std::uint64_t synthetic = 0;  ///< 0 = not a synthetic workload
+  std::uint32_t package = 36;
+  std::uint64_t seed = 1;
+  std::uint64_t budget = 0;
+  std::uint64_t nodes = 0;
+  std::uint32_t beam = 8;
+  std::uint32_t restarts = 4;
+  std::uint64_t iterations = 20000;
+  std::size_t wave = 16;
+  unsigned workers = 4;
+  std::uint64_t max_ticks = 20'000'000;
+};
+
+inline constexpr std::uint64_t kMaxSynthetic = 5000;  ///< 25 M-cell matrix
+inline constexpr std::uint64_t kMaxBeam = 1024;
+inline constexpr std::uint64_t kMaxWave = 65536;
+inline constexpr std::uint64_t kMaxWorkers = 256;
+
+/// Reads every numeric search flag; an absent flag keeps its default.
+inline Result<SearchFlags> parse_search_flags(const CommandLine& cli) {
+  SearchFlags flags;
+  Status status = Status::ok();
+  auto read = [&cli, &status](std::string_view name, auto& out,
+                              std::uint64_t min, std::uint64_t max) {
+    using T = std::remove_reference_t<decltype(out)>;
+    max = std::min<std::uint64_t>(max, std::numeric_limits<T>::max());
+    const std::optional<std::string> text = cli.flag(name);
+    if (!status.is_ok() || !text.has_value()) return;
+    const std::optional<std::uint64_t> value = parse_uint(*text);
+    if (!value.has_value() || *value < min || *value > max) {
+      status = invalid_argument_error(str_format(
+          "--%.*s: '%s' is not an integer in [%llu, %llu]",
+          static_cast<int>(name.size()), name.data(), text->c_str(),
+          static_cast<unsigned long long>(min),
+          static_cast<unsigned long long>(max)));
+      return;
+    }
+    out = static_cast<T>(*value);
+  };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  read("synthetic", flags.synthetic, 1, kMaxSynthetic);
+  read("package", flags.package, 1, kAny);
+  read("seed", flags.seed, 0, kAny);
+  read("budget", flags.budget, 0, kAny);
+  read("nodes", flags.nodes, 0, kAny);
+  read("beam", flags.beam, 1, kMaxBeam);
+  read("restarts", flags.restarts, 0, kAny);
+  read("iterations", flags.iterations, 0, kAny);
+  read("wave", flags.wave, 1, kMaxWave);
+  read("workers", flags.workers, 1, kMaxWorkers);
+  read("max-ticks", flags.max_ticks, 0, kAny);
+  if (!status.is_ok()) return status;
+  return flags;
+}
+
 /// Loads the application: a positional PSDF path, a named --app, or a
 /// --synthetic N random layered workload (width 5, so N rounds up to the
 /// next multiple of five; seeded by --synth-seed).
-inline Result<psdf::PsdfModel> load_application(const CommandLine& cli) {
-  const auto package =
-      static_cast<std::uint32_t>(cli.int_flag_or("package", 36));
-  if (const auto synthetic = cli.int_flag_or("synthetic", 0);
-      synthetic > 0) {
+inline Result<psdf::PsdfModel> load_application(const CommandLine& cli,
+                                                const SearchFlags& flags) {
+  if (flags.synthetic > 0) {
     apps::RandomWorkloadOptions options;
     options.seed =
         static_cast<std::uint64_t>(cli.int_flag_or("synth-seed", 7));
     options.min_width = 5;
     options.max_width = 5;
     options.min_layers = options.max_layers = static_cast<std::uint32_t>(
-        std::max<std::int64_t>(2, (synthetic + 4) / 5));
-    options.package_size = package;
+        std::max<std::uint64_t>(2, (flags.synthetic + 4) / 5));
+    options.package_size = flags.package;
     return apps::synthetic_random(options);
   }
   if (const auto app = cli.flag("app")) {
-    if (*app == "mp3") return apps::mp3_decoder_psdf(package);
-    if (*app == "jpeg") return apps::jpeg_encoder_psdf(package);
-    if (*app == "h263") return apps::h263_encoder_psdf(package);
+    if (*app == "mp3") return apps::mp3_decoder_psdf(flags.package);
+    if (*app == "jpeg") return apps::jpeg_encoder_psdf(flags.package);
+    if (*app == "h263") return apps::h263_encoder_psdf(flags.package);
     return invalid_argument_error("unknown --app '" + *app +
                                   "' (expected mp3, jpeg or h263)");
   }
@@ -97,7 +162,9 @@ inline int run_search_cmd(const CommandLine& cli) {
     return 1;
   };
 
-  auto app = search_detail::load_application(cli);
+  auto flags = search_detail::parse_search_flags(cli);
+  if (!flags.is_ok()) return fail(flags.status());
+  auto app = search_detail::load_application(cli, *flags);
   if (!app.is_ok()) return fail(app.status());
 
   const std::string segments = cli.flag_or("segments", "1,2,3");
@@ -118,23 +185,16 @@ inline int run_search_cmd(const CommandLine& cli) {
     request.psdf_xml = xml::write_document(psdf::to_xml(*app));
     request.engine = cli.flag_or("engine", "");
     request.reference_timing = cli.bool_flag_or("reference", false);
-    request.max_ticks =
-        static_cast<std::uint64_t>(cli.int_flag_or("max-ticks", 0));
+    request.max_ticks = cli.has_flag("max-ticks") ? flags->max_ticks : 0;
     request.search.segments = segments;
     request.search.packages = packages;
     request.search.strategy = strategy;
-    request.search.seed =
-        static_cast<std::uint64_t>(cli.int_flag_or("seed", 1));
-    request.search.max_emulations =
-        static_cast<std::uint64_t>(cli.int_flag_or("budget", 0));
-    request.search.max_nodes =
-        static_cast<std::uint64_t>(cli.int_flag_or("nodes", 0));
-    request.search.beam_width =
-        static_cast<std::uint32_t>(cli.int_flag_or("beam", 8));
-    request.search.anneal_restarts =
-        static_cast<std::uint32_t>(cli.int_flag_or("restarts", 4));
-    request.search.anneal_iterations =
-        static_cast<std::uint64_t>(cli.int_flag_or("iterations", 20000));
+    request.search.seed = flags->seed;
+    request.search.max_emulations = flags->budget;
+    request.search.max_nodes = flags->nodes;
+    request.search.beam_width = flags->beam;
+    request.search.anneal_restarts = flags->restarts;
+    request.search.anneal_iterations = flags->iterations;
 
     Result<service::Client> client =
         tcp_port != 0 ? service::Client::connect_tcp(tcp_port)
@@ -176,21 +236,17 @@ inline int run_search_cmd(const CommandLine& cli) {
   auto parsed_strategy = search::parse_strategy(strategy);
   if (!parsed_strategy.is_ok()) return fail(parsed_strategy.status());
   spec.strategy = *parsed_strategy;
-  spec.seed = static_cast<std::uint64_t>(cli.int_flag_or("seed", 1));
-  spec.max_emulations =
-      static_cast<std::uint64_t>(cli.int_flag_or("budget", 0));
-  spec.max_nodes = static_cast<std::uint64_t>(cli.int_flag_or("nodes", 0));
-  spec.beam_width = static_cast<std::uint32_t>(cli.int_flag_or("beam", 8));
-  spec.anneal_restarts =
-      static_cast<std::uint32_t>(cli.int_flag_or("restarts", 4));
-  spec.anneal_iterations =
-      static_cast<std::uint64_t>(cli.int_flag_or("iterations", 20000));
-  spec.wave_size = static_cast<std::size_t>(cli.int_flag_or("wave", 16));
-  spec.workers = static_cast<unsigned>(cli.int_flag_or("workers", 4));
+  spec.seed = flags->seed;
+  spec.max_emulations = flags->budget;
+  spec.max_nodes = flags->nodes;
+  spec.beam_width = flags->beam;
+  spec.anneal_restarts = flags->restarts;
+  spec.anneal_iterations = flags->iterations;
+  spec.wave_size = flags->wave;
+  spec.workers = flags->workers;
   spec.engine = cli.flag_or("engine", "fast");
   spec.reference_timing = cli.bool_flag_or("reference", false);
-  spec.max_ticks =
-      static_cast<std::uint64_t>(cli.int_flag_or("max-ticks", 20'000'000));
+  spec.max_ticks = flags->max_ticks;
 
   obs::MetricsRegistry metrics;
   const std::string metrics_out = cli.flag_or("metrics-out", "");
